@@ -1,17 +1,18 @@
 """Greedy graph growing bipartitioning.
 
 Grows block 0 from a random seed vertex by repeatedly absorbing the frontier
-vertex with the highest gain (weight of edges into the grown block minus
-weight of edges to the outside), until the block reaches its target weight.
-Classic GGG as used by KaMinPar's initial-partitioning portfolio.
+vertex with the highest gain, twice the weight of its edges into the grown
+block, until the block reaches its target weight.  Classic GGG as used by
+KaMinPar's initial-partitioning portfolio; the frontier is a
+:class:`~repro.core.initial.gain_queue.GainQueue`.
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
+from repro.core.initial.gain_queue import GainQueue
+from repro.graph.access import csr_arrays
 from repro.memory.scratch import tracked_ones, tracked_zeros
 
 
@@ -31,50 +32,39 @@ def greedy_graph_growing_bipartition(
     part = tracked_ones(n, np.int32, name="bipartition-part")
     if n == 0:
         return part
-    in_block = tracked_zeros(n, bool, name="bipartition-in-block")
-    # a vertex that once exceeded the cap can never fit later (the block
-    # only grows), so block it permanently to guarantee termination
-    blocked = tracked_zeros(n, bool, name="bipartition-blocked")
+    indptr, adjncy, adjwgt = csr_arrays(graph)
+    # absorbed, or blocked: a vertex that once exceeded the cap can never
+    # fit later (the block only grows), so it stays out to guarantee
+    # termination
+    closed = tracked_zeros(n, bool, name="bipartition-closed")
     gain = tracked_zeros(n, np.int64, name="bipartition-gain")
-    heap: list[tuple[int, int, int]] = []
-    counter = 0
+    frontier = GainQueue(n, 2 * graph.total_edge_weight, name="bipartition-queue")
     weight0 = 0
 
     unassigned = rng.permutation(n)
     up = 0
 
     while weight0 < target_weight0:
-        if not heap:
+        u, _ = frontier.pop()
+        if u < 0:
             # (re)start from a fresh random seed (handles disconnected graphs)
-            while up < n and (in_block[unassigned[up]] or blocked[unassigned[up]]):
+            while up < n and closed[unassigned[up]]:
                 up += 1
             if up >= n:
                 break
-            seed = int(unassigned[up])
-            heapq.heappush(heap, (0, counter, seed))
-            counter += 1
-        neg_gain, _, u = heapq.heappop(heap)
-        if in_block[u] or blocked[u]:
-            continue
-        if gain[u] != -neg_gain:
-            # stale entry; reinsert with the current gain
-            heapq.heappush(heap, (-int(gain[u]), counter, u))
-            counter += 1
-            continue
+            u = int(unassigned[up])
+        closed[u] = True
         w = int(vwgt[u])
         if weight0 + w > max_weight0:
-            blocked[u] = True
             continue
-        in_block[u] = True
         part[u] = 0
         weight0 += w
-        nbrs, wgts = graph.neighbors_and_weights(u)
-        for v, ew in zip(np.asarray(nbrs).tolist(), np.asarray(wgts).tolist()):
-            if in_block[v]:
-                continue
-            gain[v] += 2 * ew  # edge flips from cut to internal
-            heapq.heappush(heap, (-int(gain[v]), counter, v))
-            counter += 1
+        lo, hi = indptr[u : u + 2].tolist()
+        nbrs = adjncy[lo:hi]
+        fresh = ~closed[nbrs]
+        nbrs = nbrs[fresh]
+        gain[nbrs] += adjwgt[lo:hi][fresh] << 1  # edges flip from cut to internal
+        frontier.push(nbrs, gain[nbrs])
     return part
 
 

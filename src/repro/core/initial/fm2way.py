@@ -1,54 +1,22 @@
 """2-way FM local search (Fiduccia-Mattheyses [1]) with rollback.
 
-Used to polish bipartitions produced by greedy graph growing.  Single
-priority queue over *all* movable vertices ordered by gain; each pass moves
-vertices one at a time (locking them), tracks the best prefix seen, and
-rolls back the tail.  Balance is enforced against per-side ceilings.
+Polishes the bipartitions of the initial-partitioning portfolio.  Each pass
+queues every vertex by gain in a :class:`~repro.core.initial.gain_queue
+.GainQueue`, moves the top vertex one at a time (locking it), tracks the
+best prefix seen, and rolls back the tail.  A move that would break its
+side's weight ceiling locks the vertex for the pass instead.  After a move,
+the gains of the vertex's unlocked neighbours change by twice the edge
+weight in one vectorized update over its CSR slice.
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
-from repro.core.kernels import two_way_cut, two_way_gains
-from repro.memory.scratch import tracked_zeros
-
-
-def _gains_scalar(graph, part: np.ndarray) -> np.ndarray:
-    """Per-vertex reference for :func:`_gains` (equivalence-tested)."""
-    n = graph.n
-    gain = tracked_zeros(n, np.int64, name="fm2way-gains")
-    for u in range(n):
-        nbrs, wgts = graph.neighbors_and_weights(u)
-        if len(nbrs) == 0:
-            continue
-        same = part[np.asarray(nbrs)] == part[u]
-        w = np.asarray(wgts)
-        gain[u] = int(w[~same].sum() - w[same].sum())
-    return gain
-
-
-def _gains(graph, part: np.ndarray) -> np.ndarray:
-    """gain[u] = w(edges to other side) - w(edges to own side)."""
-    return two_way_gains(graph, part)
-
-
-def cut2way_scalar(graph, part: np.ndarray) -> int:
-    """Per-vertex reference for :func:`cut2way` (equivalence-tested)."""
-    total = 0
-    for u in range(graph.n):
-        nbrs, wgts = graph.neighbors_and_weights(u)
-        if len(nbrs) == 0:
-            continue
-        cross = part[np.asarray(nbrs)] != part[u]
-        total += int(np.asarray(wgts)[cross].sum())
-    return total // 2
-
-
-def cut2way(graph, part: np.ndarray) -> int:
-    return two_way_cut(graph, part)
+from repro.core.initial.gain_queue import GainQueue
+from repro.core.kernels import two_way_gains
+from repro.graph.access import csr_arrays
+from repro.memory.scratch import tracked_empty
 
 
 def fm2way_refine(
@@ -60,45 +28,41 @@ def fm2way_refine(
 ) -> np.ndarray:
     """Improve a bipartition in place; returns the refined assignment."""
     n = graph.n
+    if n == 0:
+        return part
     vwgt = np.asarray(graph.vwgt)
-    side_weight = np.zeros(2, dtype=np.int64)
-    np.add.at(side_weight, part, vwgt)
+    indptr, adjncy, adjwgt = csr_arrays(graph)
+    w0 = int(vwgt[part == 0].sum())
+    side_weight = [w0, graph.total_vertex_weight - w0]
 
+    queue = GainQueue(n, graph.total_edge_weight, name="fm2way-queue")
+    step = tracked_empty(n, np.int64, name="fm2way-step")
     for _ in range(rounds):
-        gain = _gains(graph, part)
-        locked = tracked_zeros(n, bool, name="fm2way-locked")
-        heap: list[tuple[int, int, int]] = []
-        counter = 0
-        for u in range(n):
-            heapq.heappush(heap, (-int(gain[u]), counter, u))
-            counter += 1
-
+        queue.fill(two_way_gains(graph, part))
+        # packed gain change per unit edge weight when a neighbour leaves
+        # side 0: +2 for side-0 vertices, -2 for side-1 ones (negated when
+        # it leaves side 1).  Only locked vertices change side in a pass.
+        np.multiply(part, -4 << queue.shift, out=step, dtype=np.int64)
+        step += 2 << queue.shift
         moves: list[int] = []
         best_prefix = 0
         balance_total = 0
         best_total = 0
         fruitless = 0
 
-        while heap and fruitless < max_fruitless:
-            neg_g, _, u = heapq.heappop(heap)
-            if locked[u]:
-                continue
-            if gain[u] != -neg_g:
-                heapq.heappush(heap, (-int(gain[u]), counter, u))
-                counter += 1
-                continue
+        while fruitless < max_fruitless:
+            u, gain = queue.pop()  # popped vertices stay locked for the pass
+            if u < 0:
+                break
             src = int(part[u])
             dst = 1 - src
             w = int(vwgt[u])
             if side_weight[dst] + w > max_weights[dst]:
-                locked[u] = True  # cannot move this pass
                 continue
-            # move
-            locked[u] = True
             part[u] = dst
             side_weight[src] -= w
             side_weight[dst] += w
-            balance_total += int(gain[u])
+            balance_total += gain
             moves.append(u)
             if balance_total > best_total:
                 best_total = balance_total
@@ -106,28 +70,18 @@ def fm2way_refine(
                 fruitless = 0
             else:
                 fruitless += 1
-            # update neighbor gains
-            nbrs, wgts = graph.neighbors_and_weights(u)
-            for v, ew in zip(
-                np.asarray(nbrs).tolist(), np.asarray(wgts).tolist()
-            ):
-                if locked[v]:
-                    continue
-                if part[v] == dst:
-                    gain[v] -= 2 * ew
-                else:
-                    gain[v] += 2 * ew
-                heapq.heappush(heap, (-int(gain[v]), counter, v))
-                counter += 1
+            lo, hi = indptr[u : u + 2].tolist()
+            nbrs = adjncy[lo:hi]
+            steps = adjwgt[lo:hi] * step[nbrs]
+            queue.add(nbrs, steps if src == 0 else -steps)
 
         # rollback the tail beyond the best prefix
         for u in moves[best_prefix:]:
             src = int(part[u])
-            dst = 1 - src
             w = int(vwgt[u])
-            part[u] = dst
+            part[u] = 1 - src
             side_weight[src] -= w
-            side_weight[dst] += w
+            side_weight[1 - src] += w
         if best_total <= 0:
             break
     return part

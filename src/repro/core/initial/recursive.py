@@ -18,7 +18,9 @@ from repro.core.initial.bipartition import (
     greedy_graph_growing_bipartition,
     random_bipartition,
 )
-from repro.core.initial.fm2way import cut2way, fm2way_refine
+from repro.core.initial.fm2way import fm2way_refine
+from repro.core.kernels import two_way_cut
+from repro.graph.access import full_adjacency
 from repro.graph.csr import CSRGraph
 from repro.memory.scratch import tracked_full, tracked_zeros
 
@@ -30,22 +32,9 @@ def extract_subgraph(
     ids = np.flatnonzero(mask)
     local = tracked_full(graph.n, -1, np.int64, name="subgraph-local-ids")
     local[ids] = np.arange(len(ids), dtype=np.int64)
-    if hasattr(graph, "indptr"):
-        src = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees)
-        keep = mask[src] & mask[graph.adjncy]
-        s, d = local[src[keep]], local[graph.adjncy[keep]]
-        w = np.asarray(graph.adjwgt)[keep]
-    else:
-        ss, ds, ws = [], [], []
-        for u in ids.tolist():
-            nbrs, wgts = graph.neighbors_and_weights(u)
-            keep = mask[np.asarray(nbrs)]
-            ss.append(np.full(int(keep.sum()), local[u], dtype=np.int64))
-            ds.append(local[np.asarray(nbrs)[keep]])
-            ws.append(np.asarray(wgts)[keep])
-        s = np.concatenate(ss) if ss else np.empty(0, dtype=np.int64)
-        d = np.concatenate(ds) if ds else np.empty(0, dtype=np.int64)
-        w = np.concatenate(ws) if ws else np.empty(0, dtype=np.int64)
+    src, dst, wgt = full_adjacency(graph)
+    keep = mask[src] & mask[dst]
+    s, d, w = local[src[keep]], local[dst[keep]], wgt[keep]
     nsub = len(ids)
     order = np.lexsort((d, s))
     s, d, w = s[order], d[order], w[order]
@@ -86,7 +75,7 @@ def bipartition_portfolio(
         w0 = int(np.asarray(graph.vwgt)[part == 0].sum())
         w1 = total - w0
         infeasible = int(max(0, w0 - max_weight0) + max(0, w1 - max_weight1))
-        key = (infeasible, cut2way(graph, part))
+        key = (infeasible, two_way_cut(graph, part))
         if best_key is None or key < best_key:
             best_key, best = key, part
     assert best is not None

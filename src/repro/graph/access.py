@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.memory.scratch import tracked_empty, tracked_full
+from repro.memory.scratch import tracked_empty, tracked_full, tracked_zeros
 
 # Decode-work factor of compressed vs CSR traversal, measured once per
 # process by `measured_decode_work_factor` (fallback if measurement is
@@ -184,6 +184,20 @@ def full_adjacency(graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return src, graph.adjncy, np.asarray(graph.adjwgt)
     owner, nbrs, wgts = chunk_adjacency(graph, np.arange(graph.n, dtype=np.int64))
     return owner, nbrs, wgts
+
+
+def csr_arrays(graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, adjncy, adjwgt)`` of any graph.
+
+    CSR graphs hand back their own arrays; others are decoded once through
+    :func:`full_adjacency` (neighbourhoods come back in vertex order).
+    """
+    if hasattr(graph, "indptr"):
+        return graph.indptr, graph.adjncy, np.asarray(graph.adjwgt)
+    src, dst, wgt = full_adjacency(graph)
+    indptr = tracked_zeros(graph.n + 1, np.int64, name="csr-indptr")
+    np.cumsum(np.bincount(src, minlength=graph.n), out=indptr[1:])
+    return indptr, dst, wgt
 
 
 def segment_reduce_ratings(

@@ -8,11 +8,12 @@ from repro.core.initial.bipartition import (
     greedy_graph_growing_bipartition,
     random_bipartition,
 )
-from repro.core.initial.fm2way import cut2way, fm2way_refine
+from repro.core.initial.fm2way import fm2way_refine
 from repro.core.initial.recursive import (
     extract_subgraph,
     initial_partition,
 )
+from repro.core.kernels import two_way_cut as cut2way
 from repro.graph import generators as gen
 from repro.graph.builder import from_edges
 
