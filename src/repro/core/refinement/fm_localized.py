@@ -23,8 +23,11 @@ import numpy as np
 from repro.core.config import FMConfig
 from repro.core.context import PartitionContext
 from repro.core.partition import PartitionedGraph
-from repro.core.refinement.fm_refine import _best_move
-from repro.core.refinement.gain_table import make_gain_table
+from repro.core.refinement.fm_refine import (
+    _best_move,
+    _open_gain_table,
+    _push_best_moves,
+)
 from repro.memory.scratch import tracked_zeros
 
 
@@ -36,38 +39,28 @@ def fm_refine_localized(
     *,
     max_region: int = 64,
 ) -> int:
-    """Run localized FM rounds; returns total cut improvement."""
+    """Run localized FM rounds; returns total cut improvement.
+
+    One gain table serves every round: moves and rollbacks keep it exact.
+    """
     cfg = fm_config or ctx.config.fm
     total = 0
-    tracer = ctx.tracer
-    for _ in range(cfg.max_rounds):
-        with tracer.span("gain-table-build"):
-            table = make_gain_table(
-                cfg.gain_table,
-                pgraph,
-                ctx.tracker,
-                bulk=ctx.config.use_bulk_kernels,
-            )
-        if tracer.enabled:
-            tracer.add("gain_table.bytes", table.nbytes)
-            mix = getattr(table, "width_mix", None)
-            if mix is not None:
-                for bits, count in mix().items():
-                    tracer.add(f"gain_table.width{bits}_rows", count)
-        try:
+    table = _open_gain_table(cfg, pgraph, ctx)
+    try:
+        for _ in range(cfg.max_rounds):
             improvement = _localized_pass(
-                pgraph, ctx, table, max_block_weight, cfg, max_region
+                pgraph, ctx, table, max_block_weight, max_region
             )
-        finally:
-            table.free(ctx.tracker)
-        ctx.runtime.record(
-            "fm-localized",
-            work=float(pgraph.graph.num_directed_edges),
-            bytes_moved=float(16 * pgraph.graph.num_directed_edges),
-        )
-        total += improvement
-        if improvement == 0:
-            break
+            ctx.runtime.record(
+                "fm-localized",
+                work=float(pgraph.graph.num_directed_edges),
+                bytes_moved=float(16 * pgraph.graph.num_directed_edges),
+            )
+            total += improvement
+            if improvement == 0:
+                break
+    finally:
+        table.free(ctx.tracker)
     return total
 
 
@@ -76,15 +69,15 @@ def _localized_pass(
     ctx: PartitionContext,
     table,
     max_block_weight: int,
-    cfg: FMConfig,
     max_region: int,
 ) -> int:
     g = pgraph.graph
     locked = tracked_zeros(g.n, bool, name="fm-locked")
-    seeds = pgraph.boundary_vertices()
+    seeds = table.boundary_vertices()
     if len(seeds) == 0:
         return 0
     seeds = seeds[ctx.rng.permutation(len(seeds))]
+    bulk = ctx.config.use_bulk_kernels
     improvement = 0
     searches = 0
     committed = 0
@@ -94,7 +87,7 @@ def _localized_pass(
         if locked[seed]:
             continue
         gain, kept, rolled = _run_search(
-            pgraph, table, int(seed), locked, max_block_weight, max_region
+            pgraph, table, int(seed), locked, max_block_weight, max_region, bulk
         )
         improvement += gain
         searches += 1
@@ -115,23 +108,31 @@ def _run_search(
     locked: np.ndarray,
     max_block_weight: int,
     max_region: int,
+    bulk: bool,
 ) -> tuple[int, int, int]:
     """One localized search: expand from ``seed``, keep the best prefix.
 
+    ``bulk`` scores each batch of pushed vertices in one
+    :func:`_push_best_moves` call; otherwise one :func:`_best_move` each.
     Returns ``(improvement, kept_moves, rolled_back_moves)``.
     """
     heap: list[tuple[int, int, int, int]] = []
     counter = 0
-    touched: list[int] = []  # vertices this search acquired
 
-    def push(u: int) -> None:
+    def push(us: np.ndarray) -> None:
         nonlocal counter
-        mv = _best_move(table, pgraph, u, max_block_weight)
-        if mv is not None:
-            heapq.heappush(heap, (-mv[0], counter, u, mv[1]))
-            counter += 1
+        if bulk:
+            counter = _push_best_moves(
+                heap, counter, table, pgraph, us, max_block_weight
+            )
+            return
+        for u in us.tolist():
+            mv = _best_move(table, pgraph, u, max_block_weight)
+            if mv is not None:
+                heapq.heappush(heap, (-mv[0], counter, u, mv[1]))
+                counter += 1
 
-    push(seed)
+    push(np.array([seed], dtype=np.int64))
     moves: list[tuple[int, int, int]] = []
     cumulative = 0
     best = 0
@@ -152,7 +153,6 @@ def _run_search(
         if gain < 0 and cumulative + gain < best - 2:
             break  # this search has gone sour
         locked[u] = True  # acquire: other searches skip u from now on
-        touched.append(u)
         src = int(pgraph.partition[u])
         pgraph.move(u, target)
         table.apply_move(u, src, target)
@@ -161,9 +161,8 @@ def _run_search(
         if cumulative > best:
             best = cumulative
             best_prefix = len(moves)
-        for v in np.asarray(pgraph.graph.neighbors(u)).tolist():
-            if not locked[v]:
-                push(int(v))
+        nbrs = np.asarray(pgraph.graph.neighbors(u))
+        push(nbrs[~locked[nbrs]])
 
     for u, src, dst in reversed(moves[best_prefix:]):
         pgraph.move(u, src)

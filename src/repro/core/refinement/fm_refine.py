@@ -7,6 +7,11 @@ prefix of its move sequence (rollback of the unprofitable tail).  Gains are
 served by one of the three gain-table strategies of
 :mod:`repro.core.refinement.gain_table`, which is the memory/time trade-off
 Figure 7 measures.
+
+One table serves a whole refinement call and also supplies each pass's
+boundary seeds.  On the bulk path a vertex set is scored in one batch
+(:func:`_best_moves`): every seed of a pass, and the unlocked neighbours
+of every moved vertex.
 """
 
 from __future__ import annotations
@@ -41,33 +46,85 @@ def _best_move(table, pgraph: PartitionedGraph, u: int, max_block_weight: int):
     return best
 
 
+def _best_moves(
+    table, pgraph: PartitionedGraph, us: np.ndarray, max_block_weight: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched :func:`_best_move` over ``us``.
+
+    Returns ``(vertex, gain, target)`` for every vertex of ``us`` with a
+    feasible move, in ``us`` order.
+    """
+    po, pb, pg = table.gains_many(us)
+    cur = pgraph.partition[us].astype(np.int64)
+    w = np.asarray(pgraph.graph.vwgt)[us]
+    feasible = (pb != cur[po]) & (
+        pgraph.block_weights[pb] + w[po] <= max_block_weight
+    )
+    po, pb, pg = po[feasible], pb[feasible], pg[feasible]
+    # max gain, then smallest block -- _best_move's strict-> scan order
+    best = segment_best_last(po, pg, tiebreak=-pb)
+    return us[po[best]], pg[best], pb[best]
+
+
+def _push_best_moves(
+    heap: list,
+    counter: int,
+    table,
+    pgraph: PartitionedGraph,
+    us: np.ndarray,
+    max_block_weight: int,
+) -> int:
+    """Push the best move of every vertex of ``us``, in ``us`` order.
+
+    Same entries and counters as one :func:`_best_move` push per vertex;
+    returns the next counter.
+    """
+    if len(us) == 0:
+        return counter
+    vs, gains, targets = _best_moves(table, pgraph, us, max_block_weight)
+    for v, gn, b in zip(vs.tolist(), gains.tolist(), targets.tolist()):
+        heapq.heappush(heap, (-gn, counter, v, b))
+        counter += 1
+    return counter
+
+
+def _open_gain_table(cfg: FMConfig, pgraph: PartitionedGraph, ctx: PartitionContext):
+    """Build the refinement call's gain table (one per call; the caller
+    frees it)."""
+    tracer = ctx.tracer
+    with tracer.span("gain-table-build"):
+        table = make_gain_table(
+            cfg.gain_table,
+            pgraph,
+            ctx.tracker,
+            bulk=ctx.config.use_bulk_kernels,
+        )
+    if tracer.enabled:
+        tracer.add("gain_table.bytes", table.nbytes)
+        mix = getattr(table, "width_mix", None)
+        if mix is not None:
+            for bits, count in mix().items():
+                tracer.add(f"gain_table.width{bits}_rows", count)
+    return table
+
+
 def fm_refine(
     pgraph: PartitionedGraph,
     ctx: PartitionContext,
     max_block_weight: int,
     fm_config: FMConfig | None = None,
 ) -> int:
-    """Run FM rounds; returns the total cut improvement achieved."""
+    """Run FM rounds; returns the total cut improvement achieved.
+
+    One gain table serves every round: moves and rollbacks keep it exact.
+    """
     cfg = fm_config or ctx.config.fm
     runtime = ctx.runtime
     total_improvement = 0
-
-    tracer = ctx.tracer
-    for _ in range(cfg.max_rounds):
-        with tracer.span("gain-table-build"):
-            table = make_gain_table(
-                cfg.gain_table,
-                pgraph,
-                ctx.tracker,
-                bulk=ctx.config.use_bulk_kernels,
-            )
-        if tracer.enabled:
-            tracer.add("gain_table.bytes", table.nbytes)
-            mix = getattr(table, "width_mix", None)
-            if mix is not None:
-                for bits, count in mix().items():
-                    tracer.add(f"gain_table.width{bits}_rows", count)
-        try:
+    table = _open_gain_table(cfg, pgraph, ctx)
+    try:
+        for _ in range(cfg.max_rounds):
+            recompute_before = getattr(table, "recompute_edges", 0)
             improvement = _fm_pass(pgraph, ctx, table, max_block_weight, cfg)
             if ctx.config.debug.validation_level >= 2:
                 # after a pass (moves + rollback) the incrementally
@@ -77,17 +134,19 @@ def fm_refine(
                 check_gain_table_vs_recompute(
                     table, pgraph, sample=64, phase="fm-gain-table"
                 )
-        finally:
-            table.free(ctx.tracker)
-        recompute = getattr(table, "recompute_edges", 0)
-        runtime.record(
-            "fm-refinement",
-            work=float(pgraph.graph.num_directed_edges + 4 * recompute),
-            bytes_moved=float(16 * (pgraph.graph.num_directed_edges + 4 * recompute)),
-        )
-        total_improvement += improvement
-        if improvement == 0:
-            break
+            recompute = getattr(table, "recompute_edges", 0) - recompute_before
+            runtime.record(
+                "fm-refinement",
+                work=float(pgraph.graph.num_directed_edges + 4 * recompute),
+                bytes_moved=float(
+                    16 * (pgraph.graph.num_directed_edges + 4 * recompute)
+                ),
+            )
+            total_improvement += improvement
+            if improvement == 0:
+                break
+    finally:
+        table.free(ctx.tracker)
     return total_improvement
 
 
@@ -99,35 +158,31 @@ def _fm_pass(
     cfg: FMConfig,
 ) -> int:
     seeds = (
-        pgraph.boundary_vertices()
+        table.boundary_vertices()
         if cfg.boundary_only
         else np.arange(pgraph.graph.n, dtype=np.int64)
     )
     if len(seeds) == 0:
         return 0
-    heap: list[tuple[int, int, int, int]] = []  # (-gain, tiebreak, u, target)
-    counter = 0
+    bulk = ctx.config.use_bulk_kernels
     in_moves: list[tuple[int, int, int]] = []  # (u, src, dst)
     locked = tracked_zeros(pgraph.graph.n, bool, name="fm-locked")
 
-    if ctx.config.use_bulk_kernels:
-        # score every seed in one batched pass; winners surface in seed
-        # order, so the heap tiebreak counters match the scalar loop
-        po, pb, pg = table.gains_many(seeds)
-        cur = pgraph.partition[seeds].astype(np.int64)
-        w = np.asarray(pgraph.graph.vwgt)[seeds]
-        feasible = (pb != cur[po]) & (
-            pgraph.block_weights[pb] + w[po] <= max_block_weight
-        )
-        po2, pb2, pg2 = po[feasible], pb[feasible], pg[feasible]
-        # max gain, then smallest block -- _best_move's strict-> scan order
-        best = segment_best_last(po2, pg2, tiebreak=-pb2)
-        for o, b, gn in zip(
-            po2[best].tolist(), pb2[best].tolist(), pg2[best].tolist()
-        ):
-            heapq.heappush(heap, (-int(gn), counter, int(seeds[o]), int(b)))
-            counter += 1
+    if bulk:
+        # score every seed in one batched pass; the (-gain, counter) keys
+        # are unique, so one heapify pops in the scalar loop's order
+        vs, gains, targets = _best_moves(table, pgraph, seeds, max_block_weight)
+        heap = [
+            (-gn, c, v, b)
+            for c, (v, gn, b) in enumerate(
+                zip(vs.tolist(), gains.tolist(), targets.tolist())
+            )
+        ]
+        heapq.heapify(heap)
+        counter = len(heap)
     else:
+        heap = []  # (-gain, tiebreak, u, target)
+        counter = 0
         for u in seeds.tolist():
             mv = _best_move(table, pgraph, int(u), max_block_weight)
             if mv is not None:
@@ -167,13 +222,19 @@ def _fm_pass(
         else:
             fruitless += 1
         # requeue affected neighbors
-        for v in np.asarray(pgraph.graph.neighbors(u)).tolist():
-            if locked[v]:
-                continue
-            mv = _best_move(table, pgraph, int(v), max_block_weight)
-            if mv is not None:
-                heapq.heappush(heap, (-mv[0], counter, int(v), mv[1]))
-                counter += 1
+        nbrs = np.asarray(pgraph.graph.neighbors(u))
+        if bulk:
+            counter = _push_best_moves(
+                heap, counter, table, pgraph, nbrs[~locked[nbrs]], max_block_weight
+            )
+        else:
+            for v in nbrs.tolist():
+                if locked[v]:
+                    continue
+                mv = _best_move(table, pgraph, int(v), max_block_weight)
+                if mv is not None:
+                    heapq.heappush(heap, (-mv[0], counter, int(v), mv[1]))
+                    counter += 1
 
     # rollback tail
     for u, src, dst in reversed(in_moves[best_prefix:]):

@@ -18,7 +18,10 @@ matching Figure 7:
   probe gap, so each table is guarded by a (simulated) spinlock.
 
 All tables share one interface: ``affinity``, ``adjacent_blocks``,
-``apply_move`` and ``nbytes``.
+``gains``/``gains_many``, ``boundary_vertices``, ``apply_move`` and
+``nbytes``.  A table is built from one whole-graph adjacency decode and kept
+exact through every move and rollback, so FM builds it once per refinement
+call.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from repro.core.kernels.gains import (
     batch_hash_probe,
     entry_width_bits_bulk,
 )
-from repro.memory.scratch import tracked_zeros
+from repro.graph.access import full_adjacency, segment_reduce_ratings
+from repro.memory.scratch import tracked_full, tracked_zeros
 
 
 def entry_width_bits(total_incident_weight: int) -> int:
@@ -93,7 +97,7 @@ class NoGainTable:
         ``owner`` indexes into ``us``; blocks are ascending within each
         owner, exactly the per-vertex :meth:`gains` output concatenated.
         """
-        from repro.graph.access import chunk_adjacency, segment_reduce_ratings
+        from repro.graph.access import chunk_adjacency
 
         us = np.asarray(us, dtype=np.int64)
         e = np.empty(0, dtype=np.int64)
@@ -109,6 +113,10 @@ class NoGainTable:
             owner, part[nbrs].astype(np.int64), wgts, self._pgraph.k
         )
         return o, b, v - _current_affinities(part, us, o, b, v)
+
+    def boundary_vertices(self) -> np.ndarray:
+        """Nothing cached: the partition's own adjacency scan."""
+        return self._pgraph.boundary_vertices()
 
     def apply_move(self, u: int, src: int, dst: int) -> None:
         pass  # nothing cached
@@ -145,17 +153,9 @@ class FullGainTable:
         self._tracker = tracker
 
     def _build(self) -> None:
-        g = self._pgraph.graph
+        src, dst, wgt = full_adjacency(self._pgraph.graph)
         part = self._pgraph.partition
-        if hasattr(g, "adjncy"):
-            src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-            np.add.at(self._table, (src, part[g.adjncy]), np.asarray(g.adjwgt))
-        else:
-            for u in range(g.n):
-                nbrs, wgts = g.neighbors_and_weights(u)
-                np.add.at(
-                    self._table[u], part[np.asarray(nbrs)], np.asarray(wgts)
-                )
+        np.add.at(self._table, (src, part[dst]), wgt)
 
     @property
     def nbytes(self) -> int:
@@ -187,6 +187,18 @@ class FullGainTable:
         v = rows[o, b]
         cur = self._pgraph.partition[us].astype(np.int64)
         return o, b, v - rows[o, cur[o]]
+
+    def boundary_vertices(self) -> np.ndarray:
+        """Vertices with a nonzero affinity to a block other than their own.
+
+        Affinities are non-negative, so that is a row total above the
+        own-block entry -- the same set as
+        :meth:`PartitionedGraph.boundary_vertices`, since edge weights are
+        positive.
+        """
+        t = self._table
+        own = t[np.arange(t.shape[0]), self._pgraph.partition]
+        return np.flatnonzero(t.sum(axis=1) > own)
 
     def apply_move(self, u: int, src: int, dst: int) -> None:
         """Update neighbor affinities after ``u`` moved ``src -> dst``."""
@@ -238,15 +250,11 @@ class SparseGainTable:
         self._caps = caps
         self._keys = np.full(total, self.EMPTY, dtype=np.int32)
         self._vals = np.zeros(total, dtype=np.int64)
+        # one whole-graph decode feeds both the entry widths and the build
+        src, dst, wgt = full_adjacency(g)
         # variable entry widths from total incident weight
-        if hasattr(g, "adjncy") and g.n:
-            inc = np.zeros(n, dtype=np.int64)
-            src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-            np.add.at(inc, src, np.asarray(g.adjwgt))
-        else:
-            inc = np.array(
-                [g.incident_weight(u) for u in range(n)], dtype=np.int64
-            )
+        inc = tracked_zeros(n, np.int64, name="gain-table-incident")
+        np.add.at(inc, src, wgt)
         if bulk:
             self._width_bits = entry_width_bits_bulk(inc)
         else:
@@ -255,7 +263,7 @@ class SparseGainTable:
                 dtype=np.int64,
             )
         self.lock_acquisitions = 0
-        self._build()
+        self._build(src, dst, wgt)
         self._aid = (
             tracker.alloc("gain-table-sparse", self.nbytes, "gain-table")
             if tracker is not None
@@ -264,20 +272,16 @@ class SparseGainTable:
         self._tracker = tracker
 
     # -- construction -------------------------------------------------- #
-    def _build(self) -> None:
-        g = self._pgraph.graph
+    def _build(self, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray) -> None:
+        """Fill the rows from the flattened adjacency ``(src, dst, wgt)``."""
         part = self._pgraph.partition
-        k = self._pgraph.k
         # aggregate all (vertex, block) affinities in one vectorized pass,
         # then insert each non-zero entry (the per-entry loop is unavoidable
         # for the hash tables, but it now runs once per *pair*, not per edge)
-        from repro.graph.access import full_adjacency, segment_reduce_ratings
-
-        src, dst, wgt = full_adjacency(g)
         if len(src) == 0:
             return
         po, pb, pa = segment_reduce_ratings(
-            src, part[dst].astype(np.int64), np.asarray(wgt), k
+            src, part[dst].astype(np.int64), wgt, self._pgraph.k
         )
         if not self._bulk:
             for u, b, a in zip(po.tolist(), pb.tolist(), pa.tolist()):
@@ -483,12 +487,92 @@ class SparseGainTable:
             out[h[hit]] = self._vals[slots[hit]]
         return out
 
+    def boundary_vertices(self) -> np.ndarray:
+        """Vertices with a nonzero affinity to a block other than their own.
+
+        Empty hash slots hold 0 and affinities are non-negative, so that is
+        a row total above the own-block affinity -- the same set as
+        :meth:`PartitionedGraph.boundary_vertices`, since edge weights are
+        positive.
+        """
+        n = self._pgraph.graph.n
+        if n == 0:
+            return np.empty(0, dtype=np.int64)
+        # every row has at least one slot, so the row starts are increasing
+        totals = np.add.reduceat(self._vals, self._offsets[:-1])
+        own = self.affinities(np.arange(n, dtype=np.int64), self._pgraph.partition)
+        return np.flatnonzero(totals > own)
+
     def apply_move(self, u: int, src: int, dst: int) -> None:
         g = self._pgraph.graph
         nbrs, wgts = g.neighbors_and_weights(u)
+        if self._bulk:
+            self._apply_move_bulk(
+                np.asarray(nbrs, dtype=np.int64),
+                np.asarray(wgts, dtype=np.int64),
+                src,
+                dst,
+            )
+            return
         for v, w in zip(np.asarray(nbrs).tolist(), np.asarray(wgts).tolist()):
             self._insert_add(v, src, -w)
             self._insert_add(v, dst, w)
+
+    def _apply_move_bulk(
+        self, nbrs: np.ndarray, wgts: np.ndarray, src: int, dst: int
+    ) -> None:
+        """Batched :meth:`apply_move` over the neighbourhood ``nbrs``.
+
+        The package's graphs are simple, so every neighbour owns a distinct
+        row: each row sees the scalar loop's operations (``src`` first, then
+        ``dst``) in the same order, and the slot layout and
+        ``lock_acquisitions`` come out identical.
+        """
+        dense = self._dense[nbrs]
+        d = np.flatnonzero(dense)
+        if len(d):
+            lo = self._offsets[nbrs[d]]
+            self._vals[lo + src] -= wgts[d]
+            self._vals[lo + dst] += wgts[d]
+        h = np.flatnonzero(~dense)
+        if len(h) == 0:
+            return
+        rows, w = nbrs[h], wgts[h]
+        lo, cap = self._offsets[rows], self._caps[rows]
+        self.lock_acquisitions += 2 * len(rows)
+        # 1. subtract from src; a zero-weight edge is a no-op either way
+        blocks = tracked_full(len(rows), src, np.int64, name="gain-move-blocks")
+        slots = batch_hash_probe(self._keys, lo, cap, blocks, empty=self.EMPTY)
+        missing = (slots < 0) & (w != 0)
+        if np.any(missing):
+            v = int(rows[np.argmax(missing)])
+            raise AssertionError(f"negative affinity at vertex {v}, block {src}")
+        hit = np.flatnonzero(slots >= 0)
+        s = slots[hit]
+        self._vals[s] -= w[hit]
+        after = self._vals[s]
+        if np.any(after < 0):
+            v = int(rows[hit[np.argmax(after < 0)]])
+            raise AssertionError(f"negative affinity at vertex {v}, block {src}")
+        # 2. backward-shift delete, in neighbour order, every row at 0
+        for i in np.flatnonzero(after == 0).tolist():
+            self._delete_slot(int(rows[hit[i]]), int(s[i]))
+        # 3. add to dst: hits in place, misses as fresh keys
+        blocks[:] = dst
+        slots = batch_hash_probe(self._keys, lo, cap, blocks, empty=self.EMPTY)
+        hit = slots >= 0
+        self._vals[slots[hit]] += w[hit]
+        new = np.flatnonzero(~hit & (w != 0))
+        if len(new):
+            batch_hash_insert(
+                self._keys,
+                self._vals,
+                lo[new],
+                cap[new],
+                blocks[new],
+                w[new],
+                empty=self.EMPTY,
+            )
 
     def free(self, tracker=None) -> None:
         t = tracker or self._tracker

@@ -215,3 +215,196 @@ class TestPropertyEquivalence:
         for u in range(g.n):
             for b in range(k):
                 assert sparse.affinity(u, b) == full.affinity(u, b)
+
+
+def _graph_variants():
+    """Skewed unit-weight and weighted graphs, each as CSR and compressed."""
+    from repro.graph.compressed import compress_graph
+
+    out = {}
+    for name, g in (
+        ("web", gen.weblike(500, avg_degree=10, seed=7)),
+        ("text", gen.textlike(300, seed=19)),
+    ):
+        out[f"{name}-csr"] = g
+        out[f"{name}-compressed"] = compress_graph(g)
+    return out
+
+
+GRAPHS = _graph_variants()
+
+
+def _random_moves(pgraph, count, seed):
+    """``count`` random ``(u, src, dst)`` moves with ``src != dst``."""
+    rng = np.random.default_rng(seed)
+    part = pgraph.partition.copy()
+    moves = []
+    while len(moves) < count:
+        u = int(rng.integers(0, pgraph.graph.n))
+        dst = int(rng.integers(0, pgraph.k))
+        if dst != part[u]:
+            moves.append((u, int(part[u]), dst))
+            part[u] = dst
+    return moves
+
+
+def check_exact(table, pgraph):
+    for u in range(pgraph.graph.n):
+        for b in range(pgraph.k):
+            assert table.affinity(u, b) == brute_affinity(pgraph, u, b)
+
+
+class TestBatchedApplyMove:
+    """The bulk ``apply_move`` must replay the scalar ``_insert_add`` loop
+    slot for slot: same keys, values and lock acquisitions."""
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    @pytest.mark.parametrize("k", [6, 8])
+    def test_slot_layout_matches_scalar(self, name, k):
+        g = GRAPHS[name]
+        pg_bulk = make_pgraph(g, k, seed=k)
+        pg_scalar = PartitionedGraph(g, k, pg_bulk.partition.copy())
+        bulk = SparseGainTable(pg_bulk, bulk=True)
+        scalar = SparseGainTable(pg_scalar, bulk=False)
+        assert bulk._dense.any() and not bulk._dense.all()
+        deletes = shifts = 0
+        delete_slot = bulk._delete_slot
+
+        def counting_delete(u, slot):
+            nonlocal deletes, shifts
+            lo, hi = bulk._range(u)
+            before = bulk._keys[lo:hi].copy()
+            delete_slot(u, slot)
+            before[slot - lo] = SparseGainTable.EMPTY
+            deletes += 1
+            shifts += int(not np.array_equal(before, bulk._keys[lo:hi]))
+
+        bulk._delete_slot = counting_delete
+        for i, (u, src, dst) in enumerate(_random_moves(pg_bulk, 300, seed=k)):
+            for pg, table in ((pg_bulk, bulk), (pg_scalar, scalar)):
+                pg.move(u, dst)
+                table.apply_move(u, src, dst)
+            if i % 50 == 0:
+                assert np.array_equal(bulk._keys, scalar._keys)
+                assert np.array_equal(bulk._vals, scalar._vals)
+        assert np.array_equal(bulk._keys, scalar._keys)
+        assert np.array_equal(bulk._vals, scalar._vals)
+        assert bulk.lock_acquisitions == scalar.lock_acquisitions
+        assert deletes > 0 and shifts > 0
+        check_exact(bulk, pg_bulk)
+
+    def test_missing_key_rejected(self):
+        g = gen.path(4)
+        pg = PartitionedGraph(g, 3, np.array([0, 0, 1, 1], dtype=np.int32))
+        table = SparseGainTable(pg, bulk=True)
+        # vertex 1's neighbours hold no affinity to block 2
+        with pytest.raises(AssertionError, match="negative affinity"):
+            table.apply_move(1, 2, 0)
+
+    def test_negative_affinity_rejected(self):
+        g = from_edges(3, np.array([[0, 1], [1, 2]]), np.array([1, 5]))
+        pg = PartitionedGraph(g, 3, np.array([0, 1, 2], dtype=np.int32))
+        table = SparseGainTable(pg, bulk=True)
+        # taking 5 from vertex 0's affinity of 1 to block 1
+        with pytest.raises(AssertionError, match="negative affinity"):
+            table._apply_move_bulk(np.array([0]), np.array([5]), 1, 2)
+
+
+class TestBoundaryVertices:
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_partition_after_moves(self, name, kind):
+        g = GRAPHS[name]
+        pg = make_pgraph(g, 6, seed=8)
+        table = make_gain_table(kind, pg)
+        assert np.array_equal(table.boundary_vertices(), pg.boundary_vertices())
+        for u, src, dst in _random_moves(pg, 200, seed=9):
+            pg.move(u, dst)
+            table.apply_move(u, src, dst)
+        got = table.boundary_vertices()
+        assert got.dtype == np.int64
+        assert np.array_equal(got, pg.boundary_vertices())
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_interior_vertices_excluded(self, kind):
+        g = gen.path(6)
+        pg = PartitionedGraph(g, 2, np.array([0, 0, 0, 1, 1, 1], dtype=np.int32))
+        table = make_gain_table(kind, pg)
+        assert table.boundary_vertices().tolist() == [2, 3]
+
+
+class TestNoPerVertexDecode:
+    """Building a table decodes the compressed graph in bulk, never one
+    neighbourhood at a time, and FM builds one table per call."""
+
+    @pytest.fixture
+    def decode_count(self, monkeypatch):
+        from repro.graph.compressed import CompressedGraph
+
+        calls = [0]
+        decode = CompressedGraph._decode
+
+        def counting(self, u):
+            calls[0] += 1
+            return decode(self, u)
+
+        monkeypatch.setattr(CompressedGraph, "_decode", counting)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["full", "sparse"])
+    @pytest.mark.parametrize("bulk", [True, False])
+    def test_build_makes_no_per_vertex_decode(self, decode_count, kind, bulk):
+        g = GRAPHS["web-compressed"]
+        pg = make_pgraph(g, 8, seed=1)
+        make_gain_table(kind, pg, bulk=bulk)
+        assert decode_count[0] == 0
+
+    @pytest.mark.parametrize("localized", [False, True])
+    def test_fm_builds_one_table_per_call(self, monkeypatch, localized):
+        import importlib
+
+        from repro.core.config import FMConfig, terapart
+        from repro.core.context import PartitionContext
+        from repro.core.partition import max_block_weight
+
+        # the package re-exports the fm_refine function under its module name
+        fm_refine = importlib.import_module("repro.core.refinement.fm_refine")
+        fm_localized = importlib.import_module(
+            "repro.core.refinement.fm_localized"
+        )
+
+        built = [0]
+        passes = [0]
+
+        def counting_make(*args, **kwargs):
+            built[0] += 1
+            return make_gain_table(*args, **kwargs)
+
+        module = fm_localized if localized else fm_refine
+        inner_name = "_localized_pass" if localized else "_fm_pass"
+        inner = getattr(module, inner_name)
+
+        def counting_pass(*args, **kwargs):
+            passes[0] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(fm_refine, "make_gain_table", counting_make)
+        monkeypatch.setattr(module, inner_name, counting_pass)
+        g = GRAPHS["web-compressed"]
+        pg = make_pgraph(g, 4, seed=2)
+        ctx = PartitionContext(
+            config=terapart(seed=0),
+            k=4,
+            total_vertex_weight=g.total_vertex_weight,
+            tracker=MemoryTracker(),
+        )
+        lmax = max_block_weight(g.total_vertex_weight, 4, 0.5)
+        run = (
+            fm_localized.fm_refine_localized
+            if localized
+            else fm_refine.fm_refine
+        )
+        run(pg, ctx, lmax, FMConfig(max_rounds=3))
+        assert passes[0] > 1
+        assert built[0] == 1
+        assert ctx.tracker.current_bytes == 0
